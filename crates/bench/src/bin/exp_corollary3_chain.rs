@@ -5,13 +5,16 @@
 //! approach), so Figure 1 extracts Σ from it; and it solves QC trivially,
 //! so Figure 3 extracts the rest. Both compositions run here with
 //! `D` = (Ω, Σ) and their outputs judged by the Σ- and Ψ-spec checkers.
+//! The binary exits non-zero if either chain violates its spec.
 
+use std::process::ExitCode;
 use wfd_bench::Table;
 use wfd_core::theorems::{self, RunSetup};
 use wfd_detectors::check::PsiPhase;
 use wfd_sim::{FailurePattern, ProcessId};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut violations = 0;
     let mut table = Table::new(
         "E10-corollary3-chain",
         "Corollary 3 executable: consensus → SMR registers → Fig 1 (Σ) and consensus-as-QC → Fig 3 ((Ω,Σ))",
@@ -31,7 +34,10 @@ fn main() {
                 stats.samples,
                 stats.stabilization_time()
             ),
-            Err(v) => format!("VIOLATION: {v}"),
+            Err(v) => {
+                violations += 1;
+                format!("VIOLATION: {v}")
+            }
         };
         let os = match theorems::consensus_yields_omega_sigma(&setup) {
             Ok(stats) => format!(
@@ -42,7 +48,10 @@ fn main() {
                     PsiPhase::Fs => "fs",
                 }
             ),
-            Err(v) => format!("VIOLATION: {v}"),
+            Err(v) => {
+                violations += 1;
+                format!("VIOLATION: {v}")
+            }
         };
         table.row(&[&n, &crash_str, &sigma, &os]);
     }
@@ -52,4 +61,9 @@ fn main() {
          chain's stabilisation follows the crash, the (Ω,Σ) chain settles in \
          omega-sigma mode (consensus never quits)."
     );
+    if violations > 0 {
+        eprintln!("{violations} chain run(s) violated their spec");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

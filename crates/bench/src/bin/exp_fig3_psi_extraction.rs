@@ -5,8 +5,10 @@
 //!
 //! These are the longest runs in the experiment suite (up to 250k steps
 //! each), so they fan out across cores ([`wfd_bench::sweep`]); rows come
-//! back in grid order, byte-identical to a sequential sweep.
+//! back in grid order, byte-identical to a sequential sweep. The binary
+//! exits non-zero if any run violates Ψ's spec.
 
+use std::process::ExitCode;
 use wfd_bench::sweep::{grid2, Sweep};
 use wfd_bench::Table;
 use wfd_core::theorems::{self, RunSetup};
@@ -14,7 +16,7 @@ use wfd_detectors::check::PsiPhase;
 use wfd_detectors::oracles::PsiMode;
 use wfd_sim::{FailurePattern, ProcessId};
 
-fn main() {
+fn main() -> ExitCode {
     let mut table = Table::new(
         "E5-fig3-psi-extraction",
         "Figure 3: Ψ extracted from (D = Ψ-oracle, A = Figure-2 QC) — spec verdict, \
@@ -46,7 +48,8 @@ fn main() {
             .with_seed(3)
             .with_stabilize(60)
             .with_horizon(if n == 3 { 150_000 } else { 250_000 });
-        match theorems::qc_yields_psi(&setup, mode) {
+        let verdict = theorems::qc_yields_psi(&setup, mode);
+        let row = match &verdict {
             Ok(stats) => {
                 let phase = match stats.phase {
                     PsiPhase::AllBot => "all-bot",
@@ -73,9 +76,11 @@ fn main() {
                 "-".into(),
                 "-".into(),
             ],
-        }
+        };
+        (verdict.is_err(), row)
     });
-    for row in rows {
+    let violations = rows.iter().filter(|(violated, _)| *violated).count();
+    for (_, row) in rows {
         table.row_strings(row);
     }
     table.finish();
@@ -83,4 +88,9 @@ fn main() {
         "\nExpected shape: consensus-mode detectors extract omega-sigma (even with \
          a crash), FS-mode detectors extract fs; every run spec-checked."
     );
+    if violations > 0 {
+        eprintln!("{violations} run(s) violated Ψ's spec");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -43,19 +43,20 @@ pub fn evaluate_tree<F: QcFamily>(
 ) -> TreeRun<F::Fd> {
     let procs: Vec<F::Binary> = (0..n).map(|_| family.binary()).collect();
     let mut runner = Runner::new(procs, initial_proposals(n, ones));
-    let mut decision = None;
+    let mut run = TreeRun {
+        ones,
+        decision: None,
+        schedule: Vec::new(),
+    };
     for s in window {
+        run.schedule.push((s.q, s.val.clone()));
         runner.step(s.q, s.val);
         if let Some((_, ConsensusOutput::Decided(d))) = runner.outputs().first() {
-            decision = Some(d.clone());
+            run.decision = Some(d.clone());
             break;
         }
     }
-    TreeRun {
-        ones,
-        decision,
-        schedule: runner.schedule().to_vec(),
-    }
+    run
 }
 
 /// Evaluate all `n + 1` trees over (clones of) one window.

@@ -12,10 +12,10 @@
 //!   (lines 13–14). If the real execution returns `0`/`Q`, output `red`
 //!   forever (line 18); if it returns a tuple, extract (Ω, Σ) forever
 //!   (lines 20–34):
-//!   - **Σ** exactly as lines 24–32: per round, reconstruct the
-//!     configuration set `C` from all prefixes of the agreed schedules,
-//!     extend each with *fresh* samples until it decides, and output the
-//!     union of the step-takers;
+//!   - **Σ** exactly as lines 24–32: per round, walk each agreed
+//!     schedule once, fork the configuration after every prefix (the set
+//!     `C`), extend each fork with *fresh* samples until it decides, and
+//!     output the union of the step-takers;
 //!   - **Ω** by re-evaluating the critical index of the simulated forest
 //!     on the same fresh windows (the executable counterpart of the CHT
 //!     limit-forest procedure of line 22 — see DESIGN.md §6).
@@ -32,7 +32,7 @@ use std::fmt::Debug;
 use wfd_consensus::ConsensusOutput;
 use wfd_detectors::value::{OmegaSigma, PsiValue, Signal};
 use wfd_quittable::QcDecision;
-use wfd_sim::obs::Obs;
+use wfd_sim::obs::{CounterId, Obs, PhaseId};
 use wfd_sim::{Ctx, Footprint, ProcessId, ProcessSet, Protocol, StepKind, Time};
 
 /// The critical tuple `(I, I′, S, S′)` of Figure 3 line 13: two adjacent
@@ -109,8 +109,9 @@ pub struct PsiExtraction<F: QcFamily> {
     /// with the watermark it started from (lines 22/24–32); replaced
     /// whenever the watermark advances.
     round_forest: Option<(Time, ForestEvaluator<F>)>,
-    /// Observability handle, forwarded to every [`ForestEvaluator`] this
-    /// process creates (off by default; never influences extraction).
+    /// Observability handle for the rounds, forwarded to every
+    /// [`ForestEvaluator`] this process creates (off by default; never
+    /// influences extraction).
     obs: Obs,
 }
 
@@ -134,10 +135,10 @@ impl<F: QcFamily> PsiExtraction<F> {
         }
     }
 
-    /// Attach an observability handle (see [`wfd_sim::obs`]): the forest
-    /// evaluators created by this process report their incremental vs
-    /// full-replay split through it. Metrics never change what is
-    /// extracted.
+    /// Attach an observability handle (see [`wfd_sim::obs`]): rounds
+    /// report [`PhaseId::PsiRound`] and [`CounterId::PsiExtensionSteps`],
+    /// the forest evaluators their incremental vs full-replay split.
+    /// Metrics never change what is extracted.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -172,17 +173,14 @@ impl<F: QcFamily> PsiExtraction<F> {
         matches!(self.phase, Phase::Red | Phase::OmegaSigma { .. })
     }
 
-    fn current_output(&self, ctx: &Ctx<Self>) -> PsiValue {
+    fn current_output(&self) -> PsiValue {
         match &self.phase {
             Phase::Simulating | Phase::RealExec => PsiValue::Bot,
             Phase::Red => PsiValue::Fs(Signal::Red),
-            Phase::OmegaSigma { leader, quorum, .. } => {
-                let _ = ctx;
-                PsiValue::OmegaSigma(OmegaSigma {
-                    leader: *leader,
-                    quorum: quorum.clone(),
-                })
-            }
+            Phase::OmegaSigma { leader, quorum, .. } => PsiValue::OmegaSigma(OmegaSigma {
+                leader: *leader,
+                quorum: quorum.clone(),
+            }),
         }
     }
 
@@ -272,6 +270,7 @@ impl<F: QcFamily> PsiExtraction<F> {
     /// (lines 22 and 24–32). Leaves state untouched if the window cannot
     /// yet decide everything it must.
     fn try_extraction_round(&mut self, ctx: &mut Ctx<Self>) {
+        let _round = self.obs.phase(PhaseId::PsiRound);
         let n = ctx.n();
         let Phase::OmegaSigma {
             tuple, watermark, ..
@@ -279,7 +278,6 @@ impl<F: QcFamily> PsiExtraction<F> {
         else {
             return;
         };
-        let tuple = tuple.clone();
         let watermark = *watermark;
         let window: Vec<Sample<F::Fd>> = self.store.window_after(watermark).collect();
         if window.is_empty() {
@@ -313,18 +311,12 @@ impl<F: QcFamily> PsiExtraction<F> {
         };
         let leader = ProcessId(zero_tree.min(one_tree));
 
-        // Σ (lines 24–32): extend every configuration in C with fresh
-        // samples until it decides; the quorum is the union of the
-        // extension step-takers.
-        let mut quorum = ProcessSet::new();
-        for (ones, schedule) in [(tuple.zero_tree, &tuple.s0), (tuple.one_tree, &tuple.s1)] {
-            for prefix_len in 0..=schedule.len() {
-                match self.extend_to_decision(n, ones, &schedule[..prefix_len], &window) {
-                    Some(steppers) => quorum.extend(steppers.iter()),
-                    None => return, // this configuration needs more fresh samples
-                }
-            }
-        }
+        let mut extension_steps = 0;
+        let quorum = sigma_quorum(&self.family, n, tuple, &window, &mut extension_steps);
+        self.obs.add(CounterId::PsiExtensionSteps, extension_steps);
+        let Some(quorum) = quorum else {
+            return; // some configuration needs more fresh samples
+        };
 
         if let Phase::OmegaSigma {
             watermark: wm,
@@ -340,38 +332,6 @@ impl<F: QcFamily> PsiExtraction<F> {
         }
         self.round_forest = None; // round done — next one starts fresh
         ctx.output(PsiValue::OmegaSigma(OmegaSigma { leader, quorum }));
-    }
-
-    /// Replay `prefix` from initial configuration `I_ones`, then extend
-    /// with the fresh window until a decision appears. Returns the set of
-    /// processes taking steps in the *extension* (empty if the prefix had
-    /// already decided), or `None` if the window is not yet sufficient.
-    fn extend_to_decision(
-        &self,
-        n: usize,
-        ones: usize,
-        prefix: &[(ProcessId, F::Fd)],
-        window: &[Sample<F::Fd>],
-    ) -> Option<ProcessSet> {
-        let procs: Vec<F::Binary> = (0..n).map(|_| self.family.binary()).collect();
-        let mut runner = Runner::replay(procs, initial_proposals(n, ones), prefix);
-        let decided = |r: &Runner<F::Binary>| {
-            r.outputs()
-                .iter()
-                .any(|(_, o)| matches!(o, ConsensusOutput::Decided(_)))
-        };
-        if decided(&runner) {
-            return Some(ProcessSet::new());
-        }
-        let mut steppers = ProcessSet::new();
-        for s in window {
-            runner.step(s.q, s.val.clone());
-            steppers.insert(s.q);
-            if decided(&runner) {
-                return Some(steppers);
-            }
-        }
-        None
     }
 
     /// Work done on every step: sampling, periodic evaluation, periodic
@@ -405,10 +365,61 @@ impl<F: QcFamily> PsiExtraction<F> {
 
         // Periodic (re-)emission so checkers see dense histories.
         if self.own_steps.is_multiple_of(self.out_interval) {
-            let out = self.current_output(ctx);
-            ctx.output(out);
+            ctx.output(self.current_output());
         }
     }
+}
+
+/// Σ of one round (lines 24–32): the processes that step when every
+/// configuration in `C` — one per prefix of `S` from `I` and of `S′`
+/// from `I′` — is extended with `window` until it decides; `None` if the
+/// window runs out first. Extension steps are added to `steps`.
+///
+/// A spine runner walks each schedule once and every prefix's
+/// configuration is forked off it. All extensions consume a prefix of
+/// the same window, so their step-takers are those of the longest.
+fn sigma_quorum<F: QcFamily>(
+    family: &F,
+    n: usize,
+    tuple: &CriticalTuple<F::Fd>,
+    window: &[Sample<F::Fd>],
+    steps: &mut u64,
+) -> Option<ProcessSet> {
+    let mut longest = 0;
+    for (ones, schedule) in [(tuple.zero_tree, &tuple.s0), (tuple.one_tree, &tuple.s1)] {
+        let procs = (0..n).map(|_| family.binary()).collect();
+        let mut spine = Runner::new(procs, initial_proposals(n, ones));
+        let mut rest = schedule.iter();
+        loop {
+            let consumed = steps_to_decision(&spine, window);
+            *steps += consumed.unwrap_or(window.len()) as u64;
+            longest = longest.max(consumed?);
+            let Some((q, fd)) = rest.next() else { break };
+            spine.step(*q, fd.clone());
+        }
+    }
+    Some(window[..longest].iter().map(|s| s.q).collect())
+}
+
+/// How many samples of `window` a fork of `config` consumes until its
+/// first output (a simulated QC process outputs only its decision):
+/// `Some(0)` if `config` has already decided, `None` if the window runs
+/// out first.
+fn steps_to_decision<P: Protocol + Clone>(
+    config: &Runner<P>,
+    window: &[Sample<P::Fd>],
+) -> Option<usize> {
+    if !config.outputs().is_empty() {
+        return Some(0);
+    }
+    let mut fork = config.clone();
+    for (k, s) in window.iter().enumerate() {
+        fork.step(s.q, s.val.clone());
+        if !fork.outputs().is_empty() {
+            return Some(k + 1);
+        }
+    }
+    None
 }
 
 impl<F: QcFamily> Protocol for PsiExtraction<F> {
@@ -448,11 +459,12 @@ impl<F: QcFamily> Protocol for PsiExtraction<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::PsiQcFamily;
+    use crate::family::{OmegaSigmaQcFamily, PsiQcFamily};
+    use crate::forest::evaluate_forest;
     use wfd_detectors::check::{check_psi, PsiPhase};
     use wfd_detectors::history::history_from_outputs;
-    use wfd_detectors::oracles::{PsiMode, PsiOracle};
-    use wfd_sim::{FailurePattern, RandomFair, Sim, SimConfig};
+    use wfd_detectors::oracles::{OmegaOracle, PairOracle, PsiMode, PsiOracle, SigmaOracle};
+    use wfd_sim::{FailurePattern, FdOracle, RandomFair, Sim, SimConfig, SimRng};
 
     type Host = PsiExtraction<PsiQcFamily>;
 
@@ -559,5 +571,200 @@ mod tests {
     #[should_panic(expected = "sample interval")]
     fn zero_sample_interval_rejected() {
         let _ = PsiExtraction::new(PsiQcFamily).with_sample_interval(0);
+    }
+
+    /// Σ as the paper states it, kept as the reference for
+    /// [`sigma_quorum`]: rebuild every configuration in `C` by replaying
+    /// its prefix from scratch, extend it over the window until it
+    /// decides, and union the step-takers.
+    fn naive_sigma_quorum<F: QcFamily>(
+        family: &F,
+        n: usize,
+        tuple: &CriticalTuple<F::Fd>,
+        window: &[Sample<F::Fd>],
+    ) -> Option<ProcessSet> {
+        let decided = |r: &Runner<F::Binary>| {
+            r.outputs()
+                .iter()
+                .any(|(_, o)| matches!(o, ConsensusOutput::Decided(_)))
+        };
+        let mut quorum = ProcessSet::new();
+        for (ones, schedule) in [(tuple.zero_tree, &tuple.s0), (tuple.one_tree, &tuple.s1)] {
+            for prefix_len in 0..=schedule.len() {
+                let procs = (0..n).map(|_| family.binary()).collect();
+                let mut runner = Runner::new(procs, initial_proposals(n, ones));
+                for (q, fd) in &schedule[..prefix_len] {
+                    runner.step(*q, fd.clone());
+                }
+                let mut fresh = window.iter();
+                while !decided(&runner) {
+                    let s = fresh.next()?;
+                    runner.step(s.q, s.val.clone());
+                    quorum.insert(s.q);
+                }
+            }
+        }
+        Some(quorum)
+    }
+
+    /// `len` samples of `oracle` from time `start` on, each taken by a
+    /// uniformly random process that is alive at that time.
+    fn random_window<O: FdOracle>(
+        oracle: &mut O,
+        pattern: &FailurePattern,
+        rng: &mut SimRng,
+        start: Time,
+        len: usize,
+    ) -> Vec<Sample<O::Value>> {
+        (start..)
+            .filter_map(|t| {
+                let q = ProcessId(rng.pick(pattern.n()));
+                (!pattern.is_crashed(q, t)).then(|| Sample {
+                    q,
+                    t,
+                    val: oracle.query(q, t),
+                })
+            })
+            .take(len)
+            .collect()
+    }
+
+    /// The critical tuple the forest finds on `window`.
+    fn critical_tuple<F: QcFamily>(
+        family: &F,
+        n: usize,
+        window: &[Sample<F::Fd>],
+    ) -> CriticalTuple<F::Fd> {
+        let runs = evaluate_forest(family, n, window);
+        let (zero_tree, one_tree) = critical_pair(&runs).expect("window has a critical pair");
+        CriticalTuple {
+            zero_tree,
+            one_tree,
+            s0: runs[zero_tree].schedule.clone(),
+            s1: runs[one_tree].schedule.clone(),
+        }
+    }
+
+    /// `sigma_quorum` agrees with the replay-every-prefix reference on
+    /// seeded random windows, from windows too short for some prefix to
+    /// ones every prefix decides on.
+    fn differential<F, O>(family: F, pattern: &FailurePattern, mut oracle: O)
+    where
+        F: QcFamily,
+        O: FdOracle<Value = F::Fd>,
+    {
+        let n = pattern.n();
+        let (mut too_short, mut decided) = (0, 0);
+        for seed in 0..3 {
+            let mut rng = SimRng::new(seed);
+            let start = 10_000 * seed;
+            let agreed = random_window(&mut oracle, pattern, &mut rng, start, 2_000);
+            let tuple = critical_tuple(&family, n, &agreed);
+            for (k, len) in [0, 1, 8, 60, 250, 1_000].into_iter().enumerate() {
+                let fresh_start = start + 3_000 * (k as Time + 1);
+                let window = random_window(&mut oracle, pattern, &mut rng, fresh_start, len);
+                let fast = sigma_quorum(&family, n, &tuple, &window, &mut 0);
+                let naive = naive_sigma_quorum(&family, n, &tuple, &window);
+                assert_eq!(fast, naive, "seed {seed}, window of {len}");
+                match fast {
+                    None => too_short += 1,
+                    Some(_) => decided += 1,
+                }
+            }
+        }
+        assert!(
+            too_short > 0 && decided > 0,
+            "{too_short} short, {decided} decided"
+        );
+    }
+
+    #[test]
+    fn sigma_quorum_matches_prefix_replay_for_psi_qc() {
+        let pattern = FailurePattern::failure_free(3).with_crash(ProcessId(2), 15_000);
+        let psi = PsiOracle::new(&pattern, PsiMode::OmegaSigma, 300, 20, 7);
+        differential(PsiQcFamily, &pattern, psi);
+    }
+
+    #[test]
+    fn sigma_quorum_matches_prefix_replay_for_consensus_as_qc() {
+        let pattern = FailurePattern::failure_free(3).with_crash(ProcessId(0), 15_000);
+        let fd = PairOracle::new(
+            OmegaOracle::new(&pattern, 300, 7),
+            SigmaOracle::new(&pattern, 300, 7),
+        );
+        differential(OmegaSigmaQcFamily, &pattern, fd);
+    }
+
+    #[test]
+    fn decided_configuration_contributes_nothing() {
+        let pattern = FailurePattern::failure_free(3);
+        let mut psi = PsiOracle::new(&pattern, PsiMode::OmegaSigma, 0, 0, 1);
+        let mut rng = SimRng::new(1);
+        let agreed = random_window(&mut psi, &pattern, &mut rng, 0, 2_000);
+        let tuple = critical_tuple(&PsiQcFamily, 3, &agreed);
+        // The last prefix is all of S: that configuration has decided.
+        let procs = (0..3).map(|_| PsiQcFamily.binary()).collect();
+        let mut config = Runner::new(procs, initial_proposals(3, tuple.zero_tree));
+        for (q, fd) in &tuple.s0 {
+            config.step(*q, fd.clone());
+        }
+        assert_eq!(steps_to_decision(&config, &[]), Some(0));
+        assert_eq!(steps_to_decision(&config, &agreed), Some(0));
+    }
+
+    #[test]
+    fn round_waits_for_a_window_every_configuration_decides_on() {
+        let n = 3;
+        let pattern = FailurePattern::failure_free(n);
+        // Ψ answers ⊥ until t = 300, so the agreed schedules are long and
+        // some of their configurations decide later than every tree does.
+        let mut psi = PsiOracle::new(&pattern, PsiMode::OmegaSigma, 300, 20, 0);
+        let mut rng = SimRng::new(0);
+        let agreed = random_window(&mut psi, &pattern, &mut rng, 0, 2_000);
+        let tuple = critical_tuple(&PsiQcFamily, n, &agreed);
+        let fresh = random_window(&mut psi, &pattern, &mut rng, 1_000, 2_000);
+        let mut host: Host = PsiExtraction::new(PsiQcFamily);
+        host.phase = Phase::OmegaSigma {
+            tuple,
+            watermark: 999,
+            leader: ProcessId(0),
+            quorum: ProcessSet::full(n),
+        };
+        let fd = fresh[0].val.clone();
+        // Feed the fresh window one sample at a time: the round must stay
+        // silent until Σ's extensions all decide, then emit their quorum.
+        let mut skipped_by_sigma = 0;
+        for (len, s) in fresh.iter().enumerate() {
+            host.store.insert(s.clone());
+            let Phase::OmegaSigma { tuple, .. } = &host.phase else {
+                unreachable!("the host stays in the (Ω, Σ) phase")
+            };
+            let expected = sigma_quorum(&PsiQcFamily, n, tuple, &fresh[..=len], &mut 0);
+            let runs = evaluate_forest(&PsiQcFamily, n, &fresh[..=len]);
+            let forest_decided =
+                runs.iter().all(|r| r.decision.is_some()) && critical_pair(&runs).is_some();
+            let mut ctx = Ctx::detached(ProcessId(0), n, s.t, fd.clone());
+            host.try_extraction_round(&mut ctx);
+            let outputs = ctx.take_outputs();
+            match expected {
+                Some(quorum) if forest_decided => {
+                    let [PsiValue::OmegaSigma(out)] = &outputs[..] else {
+                        panic!("one (Ω, Σ) output expected, got {outputs:?}")
+                    };
+                    assert_eq!(out.quorum, quorum);
+                    assert!(skipped_by_sigma > 0, "no window was too short for Σ alone");
+                    return;
+                }
+                expected => {
+                    assert!(
+                        outputs.is_empty(),
+                        "window of {} emitted {outputs:?}",
+                        len + 1
+                    );
+                    skipped_by_sigma += usize::from(forest_decided && expected.is_none());
+                }
+            }
+        }
+        panic!("the fresh window never completed a round");
     }
 }

@@ -8,21 +8,27 @@
 //! sequence, so two extractors feeding the same samples reconstruct
 //! byte-identical runs — the convergence the CHT limit-forest argument
 //! needs.
+//!
+//! A [`Runner`] is `Clone` whenever the protocol is, so a configuration
+//! reached by one schedule prefix can be forked and extended without
+//! replaying the prefix.
 
 use std::collections::VecDeque;
 use std::fmt::Debug;
 use wfd_sim::{Ctx, ProcessId, Protocol, Time};
 
 /// A deterministic simulated execution of `n` instances of protocol `P`.
-#[derive(Debug)]
+///
+/// The runner keeps only the configuration, not the schedule that led to
+/// it: callers that need the schedule record it themselves.
+#[derive(Clone, Debug)]
 pub struct Runner<P: Protocol> {
     procs: Vec<P>,
     started: Vec<bool>,
     pending_inv: Vec<Option<P::Inv>>,
     inboxes: Vec<VecDeque<(ProcessId, P::Msg)>>,
     outputs: Vec<(ProcessId, P::Output)>,
-    /// The schedule executed so far: `(process, detector value)` pairs.
-    schedule: Vec<(ProcessId, P::Fd)>,
+    /// Steps executed so far; also the simulated time of the next step.
     clock: Time,
 }
 
@@ -47,7 +53,6 @@ impl<P: Protocol> Runner<P> {
             pending_inv: invocations,
             inboxes: (0..n).map(|_| VecDeque::new()).collect(),
             outputs: Vec::new(),
-            schedule: Vec::new(),
             clock: 0,
         }
     }
@@ -62,9 +67,8 @@ impl<P: Protocol> Runner<P> {
     /// oldest pending message, or λ if the inbox is empty.
     pub fn step(&mut self, q: ProcessId, fd: P::Fd) {
         let i = q.index();
-        let mut ctx = Ctx::<P>::detached(q, self.procs.len(), self.clock, fd.clone());
+        let mut ctx = Ctx::<P>::detached(q, self.procs.len(), self.clock, fd);
         self.clock += 1;
-        self.schedule.push((q, fd));
         if !self.started[i] {
             self.started[i] = true;
             self.procs[i].on_start(&mut ctx);
@@ -89,33 +93,14 @@ impl<P: Protocol> Runner<P> {
         &self.outputs
     }
 
-    /// The schedule executed so far.
-    pub fn schedule(&self) -> &[(ProcessId, P::Fd)] {
-        &self.schedule
-    }
-
     /// Steps executed.
     pub fn len(&self) -> usize {
-        self.schedule.len()
+        self.clock as usize
     }
 
     /// Whether no steps have been executed.
     pub fn is_empty(&self) -> bool {
-        self.schedule.is_empty()
-    }
-
-    /// Replay a pre-recorded schedule prefix onto fresh instances — used
-    /// to reconstruct the configurations `C` of Figure 3 line 25.
-    pub fn replay(
-        procs: Vec<P>,
-        invocations: Vec<Option<P::Inv>>,
-        prefix: &[(ProcessId, P::Fd)],
-    ) -> Self {
-        let mut r = Runner::new(procs, invocations);
-        for (q, fd) in prefix {
-            r.step(*q, fd.clone());
-        }
-        r
+        self.clock == 0
     }
 }
 
@@ -124,7 +109,7 @@ mod tests {
     use super::*;
 
     /// Counts messages; replies to each ping with a pong to the sender.
-    #[derive(Debug, Default)]
+    #[derive(Clone, Debug, Default)]
     struct Echo {
         got: u32,
     }
@@ -200,18 +185,19 @@ mod tests {
     }
 
     #[test]
-    fn replay_reproduces_prefix_state() {
+    fn fork_continues_like_the_original() {
         let (procs, invs) = fresh(2);
         let mut r = Runner::new(procs, invs);
-        for _ in 0..3 {
+        for _ in 0..2 {
             r.step(ProcessId(0), 7);
             r.step(ProcessId(1), 7);
         }
-        let prefix = r.schedule().to_vec();
-        let (procs2, invs2) = fresh(2);
-        let replayed = Runner::replay(procs2, invs2, &prefix);
-        assert_eq!(replayed.outputs(), r.outputs());
-        assert_eq!(replayed.schedule(), r.schedule());
+        let mut fork = r.clone();
+        fork.step(ProcessId(0), 7); // delivers p1's pong
+        assert_eq!(r.len(), 4, "stepping a fork leaves the original alone");
+        r.step(ProcessId(0), 7);
+        assert_eq!(fork.outputs(), r.outputs());
+        assert_eq!(r.outputs().len(), 3);
     }
 
     #[test]

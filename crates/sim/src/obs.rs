@@ -129,6 +129,9 @@ metric_ids! {
         /// Samples fed to forest runners (delta on incremental paths,
         /// whole window on replays).
         ForestSamplesConsumed => "forest_samples_consumed",
+        /// Steps the Figure 3 Σ rounds spent extending the configurations
+        /// of the critical schedules' prefixes over fresh samples.
+        PsiExtensionSteps => "psi_extension_steps",
     }
 }
 
@@ -169,6 +172,9 @@ metric_ids! {
         ForestEvalIncremental => "forest_eval_incremental",
         /// Full-replay forest evaluation.
         ForestEvalFullReplay => "forest_eval_full_replay",
+        /// One Figure 3 (Ω, Σ) extraction round, including its forest
+        /// evaluation.
+        PsiRound => "psi_round",
     }
 }
 

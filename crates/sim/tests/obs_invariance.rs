@@ -11,14 +11,18 @@
 //!   outcomes and identical traces (full `Debug` form),
 //! * explorations with metrics off vs on produce byte-identical reports
 //!   at 1 and 4 worker threads,
+//! * the Figure 3 extraction host emits the same trace with metrics off
+//!   or on, its rounds timed and their extension steps counted,
 //! * and while invisible to results, the metrics are *not* inert: the
 //!   snapshot carries the exact traversal counters and its JSON export
 //!   round-trips through the crate's own parser.
 
+use wfd_detectors::oracles::{OmegaOracle, PairOracle, SigmaOracle};
+use wfd_extraction::{OmegaSigmaQcFamily, PsiExtraction};
 use wfd_sim::json::Json;
 use wfd_sim::{
     explore, CounterId, Ctx, ExploreConfig, ExploreReport, FailurePattern, NoDetector, Obs,
-    ProcessId, Protocol, RoundRobin, Sim, SimConfig,
+    PhaseId, ProcessId, Protocol, RandomFair, RoundRobin, Sim, SimConfig,
 };
 
 /// A small token-relay protocol with enough branching to exercise the
@@ -98,6 +102,32 @@ fn run_explore(obs: Obs, threads: usize) -> ExploreReport {
     )
 }
 
+/// Figure 3 with `A` = consensus as QC and `D` = (Ω, Σ), one crash: the
+/// host reaches its (Ω, Σ) rounds well before the horizon.
+fn run_fig3(obs: Obs) -> String {
+    let n = 3;
+    let pattern = FailurePattern::failure_free(n).with_crash(ProcessId(2), 400);
+    let fd = PairOracle::new(
+        OmegaOracle::new(&pattern, 500, 5),
+        SigmaOracle::new(&pattern, 500, 5),
+    );
+    let mut sim = Sim::new(
+        SimConfig::new(n).with_horizon(6_000).with_obs(obs.clone()),
+        (0..n)
+            .map(|_| {
+                PsiExtraction::new(OmegaSigmaQcFamily)
+                    .with_eval_interval(48)
+                    .with_obs(obs.clone())
+            })
+            .collect(),
+        pattern,
+        fd,
+        RandomFair::new(5),
+    );
+    let outcome = sim.run();
+    format!("{outcome:?}\n{:?}", sim.trace())
+}
+
 #[test]
 fn engine_outcome_and_trace_are_identical_with_metrics_on() {
     assert_eq!(run_sim(Obs::off()), run_sim(Obs::on()));
@@ -114,6 +144,18 @@ fn explore_reports_are_byte_identical_with_metrics_on_at_any_thread_count() {
             "{threads} threads: metrics changed the report"
         );
     }
+}
+
+#[test]
+fn figure3_trace_is_identical_with_metrics_on() {
+    let obs = Obs::on();
+    assert_eq!(run_fig3(Obs::off()), run_fig3(obs.clone()));
+    let snap = obs.snapshot().expect("metrics are on");
+    let rounds = snap
+        .phase(PhaseId::PsiRound)
+        .expect("every phase is listed");
+    assert!(rounds.calls > 0, "no (Ω, Σ) round ran");
+    assert!(snap.counter(CounterId::PsiExtensionSteps) > 0);
 }
 
 #[test]
