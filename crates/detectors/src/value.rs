@@ -37,7 +37,7 @@ impl fmt::Display for Signal {
 /// The paper writes `(D, D′)` for the detector outputting the vector of
 /// both components; (Ω, Σ) is the weakest detector for consensus in every
 /// environment.
-#[derive(Clone, Eq, PartialEq, Hash, Debug)]
+#[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
 pub struct OmegaSigma {
     /// The Ω component: current leader estimate.
     pub leader: ProcessId,
@@ -54,7 +54,7 @@ impl fmt::Display for OmegaSigma {
 /// The range of Ψ: `⊥` for an initial period, then either (Ω, Σ) values or
 /// FS values — the same choice at all processes, and the FS choice only if
 /// a failure has occurred.
-#[derive(Clone, Eq, PartialEq, Hash, Debug)]
+#[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
 pub enum PsiValue {
     /// The initial "undecided" output.
     Bot,
@@ -127,7 +127,7 @@ mod tests {
             quorum: ProcessSet::singleton(ProcessId(0)),
         };
         let bot = PsiValue::Bot;
-        let cons = PsiValue::OmegaSigma(os.clone());
+        let cons = PsiValue::OmegaSigma(os);
         let fsv = PsiValue::Fs(Signal::Red);
 
         assert!(bot.is_bot());

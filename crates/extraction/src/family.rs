@@ -17,8 +17,10 @@ use wfd_sim::{ProcessId, ProcessSet, Protocol};
 
 /// A family of instantiations of one QC algorithm over one detector.
 pub trait QcFamily {
-    /// The detector value type `A` queries (the range of `D`).
-    type Fd: Clone + Debug + PartialEq;
+    /// The detector value type `A` queries (the range of `D`). `Copy`, so
+    /// simulated steps and recorded schedules take sample values without
+    /// cloning them.
+    type Fd: Copy + Debug + PartialEq;
     /// `A` instantiated for binary proposals (the simulated trees).
     /// `Clone` so that a simulated configuration can be forked and
     /// extended without replaying the schedule that reached it.

@@ -49,7 +49,7 @@ pub fn evaluate_tree<F: QcFamily>(
         schedule: Vec::new(),
     };
     for s in window {
-        run.schedule.push((s.q, s.val.clone()));
+        run.schedule.push((s.q, s.val));
         runner.step(s.q, s.val);
         if let Some((_, ConsensusOutput::Decided(d))) = runner.outputs().first() {
             run.decision = Some(d.clone());
@@ -194,8 +194,8 @@ impl<F: QcFamily> ForestEvaluator<F> {
             self.frontier = Some((s.t, s.q));
             for (runner_slot, run) in self.runners.iter_mut().zip(self.runs.iter_mut()) {
                 let Some(runner) = runner_slot else { continue };
-                runner.step(s.q, s.val.clone());
-                run.schedule.push((s.q, s.val.clone()));
+                runner.step(s.q, s.val);
+                run.schedule.push((s.q, s.val));
                 if let Some((_, ConsensusOutput::Decided(d))) = runner.outputs().first() {
                     run.decision = Some(d.clone());
                     *runner_slot = None; // final: stop feeding this tree

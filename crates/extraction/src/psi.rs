@@ -179,7 +179,7 @@ impl<F: QcFamily> PsiExtraction<F> {
             Phase::Red => PsiValue::Fs(Signal::Red),
             Phase::OmegaSigma { leader, quorum, .. } => PsiValue::OmegaSigma(OmegaSigma {
                 leader: *leader,
-                quorum: quorum.clone(),
+                quorum: *quorum,
             }),
         }
     }
@@ -189,7 +189,7 @@ impl<F: QcFamily> PsiExtraction<F> {
         ctx: &mut Ctx<Self>,
         f: impl FnOnce(&mut F::Multi, &mut Ctx<F::Multi>),
     ) {
-        let fd = ctx.fd().clone();
+        let fd = *ctx.fd();
         let mut ictx = Ctx::<F::Multi>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
         f(&mut self.real, &mut ictx);
         for (to, msg) in ictx.take_sends() {
@@ -326,7 +326,7 @@ impl<F: QcFamily> PsiExtraction<F> {
         } = &mut self.phase
         {
             *l = leader;
-            *q = quorum.clone();
+            *q = quorum;
             // Next round must use strictly fresher samples (line 27).
             *wm = window.last().expect("non-empty window").t;
         }
@@ -345,7 +345,7 @@ impl<F: QcFamily> PsiExtraction<F> {
             let s = Sample {
                 q: ctx.me(),
                 t: ctx.now(),
-                val: ctx.fd().clone(),
+                val: *ctx.fd(),
             };
             self.store.insert(s.clone());
             ctx.broadcast_others(Fig3Msg::Sample(s));
@@ -395,7 +395,7 @@ fn sigma_quorum<F: QcFamily>(
             *steps += consumed.unwrap_or(window.len()) as u64;
             longest = longest.max(consumed?);
             let Some((q, fd)) = rest.next() else { break };
-            spine.step(*q, fd.clone());
+            spine.step(*q, *fd);
         }
     }
     Some(window[..longest].iter().map(|s| s.q).collect())
@@ -405,7 +405,7 @@ fn sigma_quorum<F: QcFamily>(
 /// first output (a simulated QC process outputs only its decision):
 /// `Some(0)` if `config` has already decided, `None` if the window runs
 /// out first.
-fn steps_to_decision<P: Protocol + Clone>(
+fn steps_to_decision<P: Protocol<Fd: Copy> + Clone>(
     config: &Runner<P>,
     window: &[Sample<P::Fd>],
 ) -> Option<usize> {
@@ -414,7 +414,7 @@ fn steps_to_decision<P: Protocol + Clone>(
     }
     let mut fork = config.clone();
     for (k, s) in window.iter().enumerate() {
-        fork.step(s.q, s.val.clone());
+        fork.step(s.q, s.val);
         if !fork.outputs().is_empty() {
             return Some(k + 1);
         }
@@ -487,7 +487,7 @@ mod tests {
             RandomFair::new(seed),
         );
         sim.run();
-        history_from_outputs(sim.trace(), |v: &PsiValue| Some(v.clone()))
+        history_from_outputs(sim.trace(), |v: &PsiValue| Some(*v))
     }
 
     #[test]
@@ -562,7 +562,7 @@ mod tests {
             RandomFair::new(2),
         );
         sim.run();
-        let h = history_from_outputs(sim.trace(), |v: &PsiValue| Some(v.clone()));
+        let h = history_from_outputs(sim.trace(), |v: &PsiValue| Some(*v));
         let stats = check_psi(&h, &pattern).unwrap_or_else(|v| panic!("{v}"));
         assert_eq!(stats.phase, PsiPhase::OmegaSigma);
     }
@@ -594,12 +594,12 @@ mod tests {
                 let procs = (0..n).map(|_| family.binary()).collect();
                 let mut runner = Runner::new(procs, initial_proposals(n, ones));
                 for (q, fd) in &schedule[..prefix_len] {
-                    runner.step(*q, fd.clone());
+                    runner.step(*q, *fd);
                 }
                 let mut fresh = window.iter();
                 while !decided(&runner) {
                     let s = fresh.next()?;
-                    runner.step(s.q, s.val.clone());
+                    runner.step(s.q, s.val);
                     quorum.insert(s.q);
                 }
             }
@@ -706,7 +706,7 @@ mod tests {
         let procs = (0..3).map(|_| PsiQcFamily.binary()).collect();
         let mut config = Runner::new(procs, initial_proposals(3, tuple.zero_tree));
         for (q, fd) in &tuple.s0 {
-            config.step(*q, fd.clone());
+            config.step(*q, *fd);
         }
         assert_eq!(steps_to_decision(&config, &[]), Some(0));
         assert_eq!(steps_to_decision(&config, &agreed), Some(0));
@@ -730,7 +730,7 @@ mod tests {
             leader: ProcessId(0),
             quorum: ProcessSet::full(n),
         };
-        let fd = fresh[0].val.clone();
+        let fd = fresh[0].val;
         // Feed the fresh window one sample at a time: the round must stay
         // silent until Σ's extensions all decide, then emit their quorum.
         let mut skipped_by_sigma = 0;
@@ -743,7 +743,7 @@ mod tests {
             let runs = evaluate_forest(&PsiQcFamily, n, &fresh[..=len]);
             let forest_decided =
                 runs.iter().all(|r| r.decision.is_some()) && critical_pair(&runs).is_some();
-            let mut ctx = Ctx::detached(ProcessId(0), n, s.t, fd.clone());
+            let mut ctx = Ctx::detached(ProcessId(0), n, s.t, fd);
             host.try_extraction_round(&mut ctx);
             let outputs = ctx.take_outputs();
             match expected {

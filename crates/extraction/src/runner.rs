@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 use std::fmt::Debug;
-use wfd_sim::{Ctx, ProcessId, Protocol, Time};
+use wfd_sim::{Ctx, ProcessId, ProcessSet, Protocol, Time};
 
 /// A deterministic simulated execution of `n` instances of protocol `P`.
 ///
@@ -39,7 +39,8 @@ impl<P: Protocol> Runner<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the two vectors disagree in length.
+    /// Panics if the two vectors disagree in length, or if there are more
+    /// than [`ProcessSet::CAPACITY`] processes.
     pub fn new(procs: Vec<P>, invocations: Vec<Option<P::Inv>>) -> Self {
         assert_eq!(
             procs.len(),
@@ -47,6 +48,11 @@ impl<P: Protocol> Runner<P> {
             "one invocation slot per process"
         );
         let n = procs.len();
+        assert!(
+            n <= ProcessSet::CAPACITY,
+            "{n} processes are beyond ProcessSet::CAPACITY = {}",
+            ProcessSet::CAPACITY
+        );
         Runner {
             procs,
             started: vec![false; n],
@@ -131,6 +137,12 @@ mod tests {
                 ctx.send(from, "pong");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ProcessSet::CAPACITY = 64")]
+    fn runners_are_capped_at_the_process_set_capacity() {
+        Runner::new(vec![Echo::default(); 65], vec![None; 65]);
     }
 
     fn fresh(n: usize) -> (Vec<Echo>, Vec<Option<&'static str>>) {

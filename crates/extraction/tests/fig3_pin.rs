@@ -47,7 +47,7 @@ where
     for (t, p, v) in sim.trace().outputs() {
         text.push_str(&format!("{p:?} {t} {v:?}\n"));
     }
-    let h = history_from_outputs(sim.trace(), |v: &PsiValue| Some(v.clone()));
+    let h = history_from_outputs(sim.trace(), |v: &PsiValue| Some(*v));
     let stats = check_psi(&h, pattern).unwrap_or_else(|v| panic!("Ψ violated: {v}"));
     assert_eq!(stats.phase, PsiPhase::OmegaSigma);
     text.push_str(&format!("{stats:?}"));

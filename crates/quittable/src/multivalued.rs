@@ -83,7 +83,7 @@ impl<V: Clone + Debug + PartialEq> MultivaluedQc<V> {
         j: u64,
         f: impl FnOnce(&mut PsiQc<u8>, &mut Ctx<PsiQc<u8>>),
     ) {
-        let fd: PsiValue = ctx.fd().clone();
+        let fd: PsiValue = *ctx.fd();
         let mut ictx = Ctx::<PsiQc<u8>>::detached(ctx.me(), ctx.n(), ctx.now(), fd);
         let inst = self.instances.entry(j).or_default();
         f(inst, &mut ictx);

@@ -64,7 +64,7 @@ impl<V: Clone + Debug + PartialEq> PsiQc<V> {
     /// nor finish a round — acceptor duties are unaffected).
     fn inner_fd(&self, ctx: &Ctx<Self>) -> (ProcessId, ProcessSet) {
         match ctx.fd() {
-            PsiValue::OmegaSigma(os) => (os.leader, os.quorum.clone()),
+            PsiValue::OmegaSigma(os) => (os.leader, os.quorum),
             _ => (
                 ProcessId((ctx.me().index() + 1) % ctx.n()),
                 ProcessSet::new(),
@@ -94,7 +94,7 @@ impl<V: Clone + Debug + PartialEq> PsiQc<V> {
         if self.decided.is_some() || self.proposal.is_none() {
             return;
         }
-        match ctx.fd().clone() {
+        match *ctx.fd() {
             PsiValue::Bot => {}                                    // line 1: nop
             PsiValue::Fs(_) => self.decide(ctx, QcDecision::Quit), // lines 2–4
             PsiValue::OmegaSigma(_) => {

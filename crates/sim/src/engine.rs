@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 
 use crate::failure::FailurePattern;
-use crate::id::{ProcessId, Time};
+use crate::id::{assert_capacity, ProcessId, Time};
 use crate::machine::{dispatch, ResolvedStep};
 use crate::obs::{CounterId, HistId, Obs, PhaseId};
 use crate::oracle::FdOracle;
@@ -40,8 +40,14 @@ pub struct SimConfig {
 impl SimConfig {
     /// Defaults scaled to the system size: delay and step-gap bounds of
     /// `4·n`, horizon of 50 000 steps, full tracing, metrics off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero or above
+    /// [`ProcessSet::CAPACITY`](crate::ProcessSet::CAPACITY).
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "a system needs at least one process");
+        assert_capacity(n);
         SimConfig {
             n,
             horizon: 50_000,
@@ -605,6 +611,12 @@ mod tests {
     use super::*;
     use crate::oracle::NoDetector;
     use crate::scheduler::{Adversarial, RandomFair, RoundRobin};
+
+    #[test]
+    #[should_panic(expected = "ProcessSet::CAPACITY = 64")]
+    fn configs_are_capped_at_the_process_set_capacity() {
+        SimConfig::new(65);
+    }
 
     /// Each process repeatedly pings its successor; counts pongs.
     #[derive(Debug)]

@@ -1,6 +1,6 @@
 //! Failure patterns `F : T → 2^Π` and environments `E ⊆ {failure patterns}`.
 
-use crate::id::{ProcessId, ProcessSet, Time};
+use crate::id::{assert_capacity, ProcessId, ProcessSet, Time};
 use crate::rng::SimRng;
 use std::fmt;
 
@@ -26,7 +26,12 @@ pub struct FailurePattern {
 
 impl FailurePattern {
     /// The failure-free pattern on `n` processes (nobody ever crashes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is above [`ProcessSet::CAPACITY`].
     pub fn failure_free(n: usize) -> Self {
+        assert_capacity(n);
         FailurePattern {
             crash: vec![None; n],
         }
@@ -275,6 +280,12 @@ mod tests {
         assert!(f.faulty().is_empty());
         assert_eq!(f.first_crash_time(), None);
         assert_eq!(f.last_crash_time(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "ProcessSet::CAPACITY = 64")]
+    fn patterns_are_capped_at_the_process_set_capacity() {
+        FailurePattern::failure_free(65);
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub use explore::{
     ExploreReport, ExploreViolation, FingerprintHasher, Hasher, StateHasher,
 };
 pub use failure::{Environment, FailurePattern, PatternSampler};
-pub use id::{ProcessId, ProcessSet, Time};
+pub use id::{ProcessId, ProcessSet, ProcessSetIter, Time};
 pub use liveness::{
     check_liveness, LassoWitness, LivenessConfig, LivenessReport, LivenessVerdict, Ltl,
 };

@@ -30,7 +30,7 @@
 
 use crate::explore::ExploreDecision;
 use crate::failure::FailurePattern;
-use crate::id::{ProcessId, Time};
+use crate::id::{ProcessId, ProcessSet, Time};
 use crate::json::{Json, JsonError};
 use crate::scheduler::{Adversarial, Decision, RandomFair, ReplaySchedule, RoundRobin, Scheduler};
 use crate::SimConfig;
@@ -692,8 +692,45 @@ impl Repro {
             None => Vec::new(),
         };
         let n = v.get("n").and_then(Json::as_usize).ok_or("n missing")?;
+        if n == 0 || n > ProcessSet::CAPACITY {
+            return Err(format!(
+                "n = {n} is outside 1..={}, the systems a ProcessSet can describe",
+                ProcessSet::CAPACITY
+            ));
+        }
         if crashes.len() != n {
             return Err(format!("crashes has {} entries, n = {n}", crashes.len()));
+        }
+        let in_range = |what: &str, p: usize| {
+            if p < n {
+                Ok(())
+            } else {
+                Err(format!("{what} {p} is not a process of n = {n}"))
+            }
+        };
+        for inv in &invocations {
+            in_range("invocation.pid", inv.pid)?;
+        }
+        let decisions =
+            ReproDecisions::from_json(v.get("decisions").ok_or("decisions missing")?, source)?;
+        match &decisions {
+            ReproDecisions::Engine(d) => {
+                for decision in d {
+                    if let Decision::Actor(p) = decision {
+                        in_range("decision.actor", p.index())?;
+                    }
+                }
+            }
+            ReproDecisions::Explore(d) => {
+                for (p, _) in d {
+                    in_range("decision.step", p.index())?;
+                }
+            }
+            ReproDecisions::Lasso { stem, cycle } => {
+                for (p, _) in stem.iter().chain(cycle) {
+                    in_range("decision.step", p.index())?;
+                }
+            }
         }
         Ok(Repro {
             protocol: str_field("protocol")?,
@@ -707,10 +744,7 @@ impl Repro {
             oracle: OracleSpec::from_json(v.get("oracle").ok_or("oracle missing")?)?,
             scheduler: SchedulerSpec::from_json(v.get("scheduler").ok_or("scheduler missing")?)?,
             invocations,
-            decisions: ReproDecisions::from_json(
-                v.get("decisions").ok_or("decisions missing")?,
-                source,
-            )?,
+            decisions,
             source,
         })
     }
@@ -935,5 +969,48 @@ mod tests {
         assert!(Repro::from_json(&bad_format)
             .unwrap_err()
             .contains("unsupported"));
+    }
+
+    #[test]
+    fn rejects_systems_beyond_the_process_set_capacity() {
+        let mut r = sample_fuzz_repro();
+        r.n = ProcessSet::CAPACITY + 1;
+        r.crashes = vec![None; r.n];
+        let err = Repro::from_json(&r.to_json()).unwrap_err();
+        assert!(err.contains("n = 65"), "{err}");
+        r.n = 0;
+        r.crashes.clear();
+        assert!(Repro::from_json(&r.to_json()).is_err());
+        // The cap itself is a valid system.
+        r.n = ProcessSet::CAPACITY;
+        r.crashes = vec![None; r.n];
+        assert_eq!(Repro::from_json(&r.to_json()).unwrap().pattern().n(), 64);
+    }
+
+    #[test]
+    fn rejects_process_ids_outside_the_system() {
+        let mut r = sample_fuzz_repro();
+        r.decisions = ReproDecisions::Engine(vec![Decision::Actor(ProcessId(3))]);
+        let err = Repro::from_json(&r.to_json()).unwrap_err();
+        assert!(err.contains("decision.actor 3"), "{err}");
+
+        let mut r = sample_fuzz_repro();
+        r.invocations[1].pid = 7;
+        let err = Repro::from_json(&r.to_json()).unwrap_err();
+        assert!(err.contains("invocation.pid 7"), "{err}");
+
+        let mut r = sample_fuzz_repro();
+        r.source = ReproSource::Explore;
+        r.decisions = ReproDecisions::Explore(vec![(ProcessId(0), None), (ProcessId(64), None)]);
+        let err = Repro::from_json(&r.to_json()).unwrap_err();
+        assert!(err.contains("decision.step 64"), "{err}");
+
+        let mut r = sample_fuzz_repro();
+        r.source = ReproSource::Liveness;
+        r.decisions = ReproDecisions::Lasso {
+            stem: vec![(ProcessId(1), None)],
+            cycle: vec![(ProcessId(usize::MAX), Some(0))],
+        };
+        assert!(Repro::from_json(&r.to_json()).is_err());
     }
 }
