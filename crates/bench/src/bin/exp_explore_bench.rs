@@ -8,29 +8,25 @@
 //! * `baseline_fingerprint` — the same loop with 128-bit fingerprint keys
 //!   (isolates the key-representation axis),
 //! * `optimized_1_thread` — fingerprints + shared-prefix states +
-//!   free-list arena ([`wfd_sim::explore()`] at one worker; isolates the
-//!   state-representation axis),
-//! * `optimized_{2,4}_threads` — the parallel frontier on top. These
-//!   rungs are **skipped** (marked `"skipped_1_cpu"` in the artifact)
-//!   when [`std::thread::available_parallelism`] reports a single CPU:
-//!   the reports would still be byte-identical, but the timings would be
-//!   time-slicing noise, not scaling data. The seen-table width each run
-//!   rung allocated ([`wfd_sim::seen_shard_width`] of its worker count)
-//!   is recorded in the artifact,
+//!   free-list arena + batched frontier ([`wfd_sim::explore()`], which
+//!   runs on the calling thread; isolates the state-representation axis),
 //! * `reduced_dpor` / `reduced_symmetry` / `reduced_dpor_symmetry` — the
 //!   state-space reductions ([`ExploreConfig::with_dpor`] /
-//!   [`ExploreConfig::with_symmetry`]) on the single-thread optimized
-//!   loop. These rungs visit *fewer* states by design, so they are
-//!   cross-checked on the verdict and the bound flags — not on
-//!   [`ExploreReport::same_semantics`] — and the combined rung must
-//!   shrink the visit count (by ≥ 5× at the full ladder depth),
+//!   [`ExploreConfig::with_symmetry`]) on the optimized loop. These rungs
+//!   visit *fewer* states by design, so they are cross-checked on the
+//!   verdict and the bound flags — not on report equality — and the
+//!   combined rung must shrink the visit count (by ≥ 5× at the full
+//!   ladder depth),
 //! * `reduced_deep` — the combined reduction pushed past the unreduced
 //!   horizon (depth 30), recorded to show the reductions buy *reach*,
 //!   not just speed. Unreduced, that depth does not fit the bench budget.
 //!
 //! Every rung explores the *same* workload: all reports are cross-checked
 //! before any number is written — a rung that silently changed the
-//! verdict is a bug, not a result.
+//! verdict is a bug, not a result. The artifact records each rung's
+//! seconds and `states_visited` next to its states/sec: the rungs visit
+//! different numbers of states for the same coverage, so states/sec alone
+//! does not compare across rungs.
 //!
 //! `--smoke` shrinks the workload and skips the artifact write (unless
 //! `WFD_BENCH_OUT` is set) so CI can exercise the binary in seconds —
@@ -44,8 +40,8 @@ use wfd_bench::{MetricsFlag, Table};
 use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::json::Json;
 use wfd_sim::{
-    explore, seen_shard_width, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern,
-    FingerprintHasher, Footprint, NoDetector, ProcessId, Protocol, StepKind, Symmetry,
+    explore, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern, FingerprintHasher,
+    Footprint, NoDetector, ProcessId, Protocol, StepKind, Symmetry,
 };
 
 /// The benchmark workload: a token-relay mesh with decaying traffic.
@@ -141,6 +137,24 @@ impl Rung {
     fn states_per_sec(&self) -> f64 {
         self.report.states_visited as f64 / self.secs.max(1e-9)
     }
+
+    /// The rung's artifact entry: wall-clock, visits and their ratio.
+    fn to_json(&self) -> (String, Json) {
+        (
+            self.name.to_string(),
+            Json::Obj(vec![
+                ("secs".to_string(), Json::Num(format!("{:.3}", self.secs))),
+                (
+                    "states_visited".to_string(),
+                    Json::usize(self.report.states_visited),
+                ),
+                (
+                    "states_per_sec".to_string(),
+                    Json::Num(format!("{:.0}", self.states_per_sec())),
+                ),
+            ]),
+        )
+    }
 }
 
 /// Best-of-`reps` timing of one exploration mode.
@@ -171,18 +185,15 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(if smoke { 1 } else { 3 });
-    let available = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
     let pattern = FailurePattern::failure_free(N);
     let cfg = ExploreConfig::new(depth).with_max_states(10_000_000);
     // The optimized rungs carry the obs handle (off unless `--metrics` or
     // `WFD_METRICS` asked for it — and off costs nothing, which is
     // exactly what the speedup acceptance gate measures).
-    let optimized = |threads: usize| cfg.clone().with_threads(threads).with_obs(obs.clone());
+    let optimized = || cfg.clone().with_obs(obs.clone());
     let invocations = || vec![None; N];
 
-    let mut rungs = vec![
+    let rungs = [
         time_rung("baseline_string_key", reps, || {
             explore_baseline(
                 cfg.clone(),
@@ -207,7 +218,7 @@ fn main() {
         }),
         time_rung("optimized_1_thread", reps, || {
             explore(
-                optimized(1),
+                optimized(),
                 make_procs,
                 invocations(),
                 &pattern,
@@ -216,31 +227,6 @@ fn main() {
             )
         }),
     ];
-    // Multi-thread rungs are scaling data only where scaling exists.
-    let mut skipped: Vec<&'static str> = Vec::new();
-    let mut thread_counts_run = vec![1usize];
-    for threads in [2usize, 4] {
-        let name: &'static str = if threads == 2 {
-            "optimized_2_threads"
-        } else {
-            "optimized_4_threads"
-        };
-        if available < 2 {
-            skipped.push(name);
-            continue;
-        }
-        thread_counts_run.push(threads);
-        rungs.push(time_rung(name, reps, || {
-            explore(
-                optimized(threads),
-                make_procs,
-                invocations(),
-                &pattern,
-                NoDetector,
-                safety,
-            )
-        }));
-    }
 
     // No rung may change what was decided — only how fast. Between the
     // baseline (classic DFS) and the optimized loop (batched traversal)
@@ -249,8 +235,7 @@ fn main() {
     // batch order commits minimal depths earlier and budget-aware
     // re-expansion rarely triggers; `dedup_hits`/`max_frontier_len`
     // follow) — but the verdict, the flags, and the distinct-state
-    // coverage (`dedup_entries`) must be identical. The optimized thread
-    // rungs must agree on *everything*.
+    // coverage (`dedup_entries`) must be identical.
     let anchor = &rungs[0].report;
     for rung in &rungs[1..] {
         let r = &rung.report;
@@ -264,33 +249,20 @@ fn main() {
         );
     }
     assert!(
-        anchor.same_semantics(&rungs[1].report),
+        *anchor == rungs[1].report,
         "the two baseline rungs share a traversal and must agree exactly"
     );
-    let optimized_report = rungs[2].report.clone();
-    for rung in &rungs[3..] {
-        assert!(
-            optimized_report.same_semantics(&rung.report),
-            "{} diverged from optimized_1_thread:\n{optimized_report:?}\nvs\n{:?}",
-            rung.name,
-            rung.report
-        );
-    }
+    let optimized_report = &rungs[2].report;
     assert!(
         anchor.violation.is_none() && !anchor.states_capped,
         "workload must be clean and uncapped, got {anchor:?}"
     );
 
-    // The reduction rungs: fewer states, same verdict. `same_semantics`
+    // The reduction rungs: fewer states, same verdict. Report equality
     // would be the wrong cross-check here — shrinking the space is the
     // point — so the gate is verdict + bound-flag equality plus a strict
     // visit decrease for the combined rung (≥ 5× at full ladder depth).
-    let reduced = |dpor: bool, symmetry: bool| {
-        optimized(1)
-            .with_dpor(dpor)
-            .with_symmetry(symmetry)
-            .with_obs(obs.clone())
-    };
+    let reduced = |dpor: bool, symmetry: bool| optimized().with_dpor(dpor).with_symmetry(symmetry);
     let reduction_rungs = vec![
         time_rung("reduced_dpor", reps, || {
             explore(
@@ -355,7 +327,6 @@ fn main() {
         explore(
             ExploreConfig::new(deep_depth)
                 .with_max_states(10_000_000)
-                .with_threads(1)
                 .with_dpor(true)
                 .with_symmetry(true),
             make_procs,
@@ -388,14 +359,6 @@ fn main() {
             format!("{:.2}x", base_secs / rung.secs.max(1e-9)),
         ]);
     }
-    for name in &skipped {
-        table.row_strings(vec![
-            name.to_string(),
-            "skipped_1_cpu".into(),
-            String::new(),
-            String::new(),
-        ]);
-    }
     table.row_strings(vec![
         "states_visited".into(),
         anchor.states_visited.to_string(),
@@ -422,20 +385,12 @@ fn main() {
         deep.report.states_visited, deep.secs
     );
 
-    let mut states_per_sec: Vec<(String, Json)> = rungs
+    let rung_json: Vec<(String, Json)> = rungs
         .iter()
         .chain(&reduction_rungs)
         .chain([&deep])
-        .map(|r| {
-            (
-                r.name.to_string(),
-                Json::Num(format!("{:.0}", r.states_per_sec())),
-            )
-        })
+        .map(Rung::to_json)
         .collect();
-    for name in &skipped {
-        states_per_sec.push((name.to_string(), Json::str("skipped_1_cpu")));
-    }
 
     let mut json = Json::Obj(vec![
         (
@@ -460,20 +415,7 @@ fn main() {
                 ("smoke".to_string(), Json::bool(smoke)),
             ]),
         ),
-        ("available_parallelism".to_string(), Json::usize(available)),
-        // The seen-table width each rung actually allocated: sized from
-        // the worker count (itself clamped by available parallelism),
-        // not the historical fixed 64 — a 1-CPU host runs one shard.
-        (
-            "seen_shard_width".to_string(),
-            Json::Obj(
-                thread_counts_run
-                    .iter()
-                    .map(|&t| (format!("{t}_threads"), Json::usize(seen_shard_width(t))))
-                    .collect(),
-            ),
-        ),
-        ("states_per_sec".to_string(), Json::Obj(states_per_sec)),
+        ("rungs".to_string(), Json::Obj(rung_json)),
         (
             "speedup".to_string(),
             Json::Obj(vec![

@@ -16,18 +16,56 @@
 //! for muscle-memory compatibility), else the machine's available
 //! parallelism. Set either to `1` to force a sequential sweep.
 
-// The fan-out primitive itself lives in `wfd_sim::par` (the parallel
-// explorer needs it below this crate in the dependency graph); re-export
-// it so sweep callers keep their one-stop import.
-pub use wfd_sim::par::par_map_with;
-
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use wfd_sim::obs::{CounterId, Obs, PhaseId};
 use wfd_sim::EnvOverrides;
 
-/// The worker count a parallel sweep will use (resolved through
-/// [`EnvOverrides`], the one home of `WFD_*` reads).
+/// The worker count a parallel sweep will use: `WFD_SWEEP_THREADS` (then
+/// `RAYON_NUM_THREADS`) as parsed by [`EnvOverrides`], the one home of
+/// `WFD_*` reads, else the machine's available parallelism.
 pub fn num_threads() -> usize {
-    EnvOverrides::from_env().resolve_sweep_threads(None)
+    EnvOverrides::from_env()
+        .sweep_threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Apply `f` to every item, fanning across `threads` workers; the result
+/// vector is in item order regardless of completion order, so it depends
+/// only on `items` and `f`, never on `threads`.
+///
+/// With `threads <= 1` (or fewer than two items) the map runs inline on
+/// the calling thread — the reference execution the parallel path must
+/// reproduce byte-for-byte.
+pub fn par_map_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(items.len()) {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let r = f(i, item);
+                *slots[i].lock().expect("slot poisoned") = Some(r);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("slot poisoned")
+                .expect("every slot filled")
+        })
+        .collect()
 }
 
 /// [`par_map_with`] at the default [`num_threads`].

@@ -107,10 +107,11 @@ static RULES: [Rule; 10] = [
     },
     Rule {
         id: "d3-atomics",
-        summary: "atomics outside obs.rs/par.rs can leak racy state onto the decision path",
+        summary: "atomics outside obs.rs/sweep.rs can leak racy state onto the decision path",
         help: "keep shared-memory concurrency in the sanctioned homes \
-               (wfd_sim::obs for metrics, wfd_sim::par for the runtime); \
-               anything else needs an allow explaining why the race is benign",
+               (wfd_sim::obs for metrics, wfd_bench::sweep for the sweep \
+               runtime); anything else needs an allow explaining why the \
+               race is benign",
         excluded: &[
             (
                 "crates/sim/src/obs.rs",
@@ -118,8 +119,10 @@ static RULES: [Rule; 10] = [
                  path never reads them",
             ),
             (
-                "crates/sim/src/par.rs",
-                "the parallel runtime is the other sanctioned atomics home",
+                "crates/bench/src/sweep.rs",
+                "the sweep runtime is the other sanctioned atomics home: \
+                 par_map_with's work cursor only hands out indices, and every \
+                 result lands in its item's own slot",
             ),
         ],
         only: None,
@@ -201,11 +204,6 @@ static RULES: [Rule; 10] = [
                 "crates/sim/src/obs.rs",
                 "observability timers and counters live in a side table the \
                  decision path never reads (proven by obs_invariance.rs)",
-            ),
-            (
-                "crates/sim/src/par.rs",
-                "the parallel runtime owns threads by design; determinism is \
-                 proven downstream by byte-identical report equivalence",
             ),
             (
                 "crates/sim/src/env.rs",

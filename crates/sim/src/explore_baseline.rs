@@ -105,8 +105,7 @@ fn initial_state<P: Protocol>(procs: Vec<P>, invocations: Vec<Option<P::Inv>>) -
 /// Only [`ExploreConfig::max_depth`], [`ExploreConfig::max_states`] and
 /// [`ExploreConfig::dedup`] are honored (the loop predates the other
 /// knobs); the report's observability counters are filled in so it can be
-/// compared against [`crate::explore()`] with
-/// [`ExploreReport::same_semantics`].
+/// compared against [`crate::explore()`]'s with `==`.
 pub fn explore_baseline<H, P, D>(
     cfg: ExploreConfig,
     hasher: H,
@@ -193,7 +192,6 @@ where
         states_pruned_dpor: 0,
         symmetry_canonical_hits: 0,
         reduction_enabled: false,
-        threads_used: 1,
     }
 }
 
@@ -225,7 +223,7 @@ mod tests {
         }
     }
 
-    /// The optimized explorer at batch 1, single-thread, exact keys must
+    /// The optimized explorer at batch 1 with exact keys must
     /// reproduce the historical loop *exactly* — the differential anchor
     /// that ties the new code to PR 2 semantics.
     #[test]
@@ -251,7 +249,7 @@ mod tests {
                 safety,
             );
             let new = explore_custom(
-                ExploreConfig::new(depth).with_threads(1).with_batch(1),
+                ExploreConfig::new(depth).with_batch(1),
                 ExactKeyHasher,
                 mk,
                 inv,
@@ -259,10 +257,7 @@ mod tests {
                 NoDetector,
                 safety,
             );
-            assert!(
-                old.same_semantics(&new),
-                "plant={plant} depth={depth}: {old:?} vs {new:?}"
-            );
+            assert_eq!(old, new, "plant={plant} depth={depth}");
         }
     }
 }

@@ -76,7 +76,6 @@ pub mod liveness;
 pub mod machine;
 pub mod obs;
 mod oracle;
-pub mod par;
 mod protocol;
 pub mod repro;
 mod rng;
@@ -88,8 +87,8 @@ pub use diagram::{Diagram, DiagramConfig, DiagramNode};
 pub use engine::{RunOutcome, Sim, SimConfig, SimParts, StopReason};
 pub use env::{EnvOverrides, MetricsMode};
 pub use explore::{
-    explore, explore_custom, seen_shard_width, ExactKeyHasher, ExploreConfig, ExploreDecision,
-    ExploreReport, ExploreViolation, FingerprintHasher, Hasher, StateHasher,
+    explore, explore_custom, ExactKeyHasher, ExploreConfig, ExploreDecision, ExploreReport,
+    ExploreViolation, FingerprintHasher, StateHasher,
 };
 pub use failure::{Environment, FailurePattern, PatternSampler};
 pub use id::{ProcessId, ProcessSet, ProcessSetIter, Time};

@@ -74,7 +74,6 @@ use crate::id::{ProcessId, Time};
 use crate::json::Json;
 use crate::machine::{node_eq, ExploreDecision, FairMachine, LiveNode, ReductionConfig, State};
 use crate::oracle::FdOracle;
-use crate::par::{explore_threads, par_map_with};
 use crate::protocol::{PropView, Protocol, SendBuf};
 use std::collections::BTreeMap;
 use std::fmt::{self, Debug, Display};
@@ -547,10 +546,6 @@ pub struct LivenessConfig {
     /// **rejected** at validation time (see the module docs' DPOR
     /// section).
     pub reduction: ReductionConfig,
-    /// Worker threads for the graph build; `0` uses
-    /// [`explore_threads`] (the `WFD_EXPLORE_THREADS` override or
-    /// available parallelism).
-    pub threads: usize,
 }
 
 impl LivenessConfig {
@@ -564,7 +559,6 @@ impl LivenessConfig {
             max_states: 250_000,
             max_inbox: 8,
             reduction: ReductionConfig::none(),
-            threads: 0,
         }
     }
 
@@ -602,9 +596,14 @@ impl LivenessConfig {
         self
     }
 
-    /// Set the worker thread count (`0` = environment default).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Does nothing: the graph build runs on the calling thread. Kept
+    /// for one release so callers that pinned a worker count still
+    /// compile.
+    #[deprecated(
+        since = "0.7.0",
+        note = "the liveness checker has no worker pool; drop the call"
+    )]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -722,7 +721,8 @@ fn node_fp<P: Protocol + Debug>(node: &LiveNode<P>) -> u128 {
     ))
 }
 
-/// Everything the expansion workers share read-only.
+/// The scenario the graph build reads: detector samples, liveness and
+/// correctness tables, the symmetry group and the proposition count.
 struct GraphEnv<'a, P: Protocol> {
     pattern: &'a FailurePattern,
     cfg: &'a LivenessConfig,
@@ -838,30 +838,23 @@ struct LiveGraph<P: Protocol> {
     capped: bool,
 }
 
-/// Build the deduplicated fair state graph, breadth-first in parallel
-/// batches with a sequential deterministic merge (identical graphs at
-/// any thread count).
+/// Build the deduplicated fair state graph breadth-first: each node is
+/// expanded in frontier order and its successors are merged into the
+/// graph before the next node is expanded.
 fn build_graph<P>(
     env: &GraphEnv<'_, P>,
     procs: Vec<P>,
     invocations: Vec<Option<P::Inv>>,
 ) -> Result<LiveGraph<P>, String>
 where
-    P: Protocol + Clone + Debug + PartialEq + Send + Sync,
-    P::Msg: PartialEq + Send + Sync,
-    P::Inv: PartialEq + Send + Sync,
-    P::Output: Send + Sync,
-    P::Fd: Send + Sync,
+    P: Protocol + Clone + Debug + PartialEq,
+    P::Msg: PartialEq,
+    P::Inv: PartialEq,
 {
-    let threads = if env.cfg.threads == 0 {
-        explore_threads()
-    } else {
-        env.cfg.threads
-    };
     // The fair semantics: enumeration and stepping both come from the
-    // shared machine layer. Workers sample the pre-computed detector
-    // table themselves (the machine's own sampler is the same lookup),
-    // so the hot path reuses per-worker buffers via `step_with`.
+    // shared machine layer. Each step is handed its detector value from
+    // the pre-computed table (the machine's own sampler is the same
+    // lookup), so `step_with` reuses one set of send/output buffers.
     let machine = FairMachine::<P, _>::new(
         env.pattern,
         env.cfg.max_step_gap,
@@ -880,17 +873,16 @@ where
     let mut frontier: Vec<u32> = vec![0];
     let mut truncated = false;
     let mut capped = false;
+    let mut decisions = Vec::new();
+    let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
+    let mut edges: Vec<(ExploreDecision, LiveNode<P>, u128, u32)> = Vec::new();
     while !frontier.is_empty() && !capped {
-        type Expanded<P> = Result<(Vec<(ExploreDecision, LiveNode<P>, u128, u32)>, bool), String>;
-        let results: Vec<Expanded<P>> = par_map_with(&frontier, threads, |_, &id| {
-            let node = &nodes[id as usize];
-            let mut decisions = Vec::new();
+        for src in std::mem::take(&mut frontier) {
+            let node = &nodes[src as usize];
+            let t = node.state.depth as Time;
+            decisions.clear();
             machine.enabled_fair(node, &mut decisions);
-            let mut bufs: (SendBuf<P>, Vec<P::Output>) = (Vec::new(), Vec::new());
-            let mut out = Vec::with_capacity(decisions.len());
-            let mut trunc = false;
-            for dec in decisions {
-                let t = node.state.depth as Time;
+            for &dec in &decisions {
                 let fd = env.fd_at(dec.0.index(), t).clone();
                 let succ = machine.step_with(node, dec, fd, &mut bufs);
                 if succ
@@ -899,21 +891,15 @@ where
                     .iter()
                     .any(|ib| ib.len() > env.cfg.max_inbox)
                 {
-                    trunc = true;
+                    truncated = true;
                     continue;
                 }
                 let succ = canonicalize(env, succ)?;
                 let fp = node_fp(&succ);
                 let val = env.eval(&succ.state.procs, succ.state.depth as Time);
-                out.push((dec, succ, fp, val));
+                edges.push((dec, succ, fp, val));
             }
-            Ok((out, trunc))
-        });
-        let batch = std::mem::take(&mut frontier);
-        for (src, res) in batch.iter().zip(results) {
-            let (edges, trunc) = res?;
-            truncated |= trunc;
-            for (dec, succ, fp, val) in edges {
+            for (dec, succ, fp, val) in edges.drain(..) {
                 let bucket = buckets.entry(fp).or_default();
                 let found = bucket
                     .iter()
@@ -935,7 +921,7 @@ where
                         id
                     }
                 };
-                succs[*src as usize].push((id, dec));
+                succs[src as usize].push((id, dec));
             }
         }
     }
@@ -1246,11 +1232,9 @@ pub fn check_liveness<P, D>(
     formula: &Ltl,
 ) -> Result<LivenessReport, String>
 where
-    P: Protocol + Clone + Debug + PartialEq + Send + Sync,
-    P::Msg: PartialEq + Send + Sync,
-    P::Inv: PartialEq + Send + Sync,
-    P::Output: Send + Sync,
-    P::Fd: Send + Sync,
+    P: Protocol + Clone + Debug + PartialEq,
+    P::Msg: PartialEq,
+    P::Inv: PartialEq,
     D: FdOracle<Value = P::Fd>,
 {
     let procs = make_procs();
@@ -1272,7 +1256,8 @@ where
     let ba = build_buchi(&arena, &tableau);
 
     // Pre-sample the detector for every alive (p, t) in the non-frozen
-    // region — workers cannot query the (mutable) oracle.
+    // region, so the graph build reads a table instead of the (mutable)
+    // oracle.
     let stride = cfg.t_stable as usize + 1;
     let mut fd: Vec<Option<P::Fd>> = vec![None; n * stride];
     let mut alive: Vec<Vec<bool>> = Vec::with_capacity(stride);
@@ -1473,7 +1458,7 @@ mod tests {
     use crate::oracle::NoDetector;
 
     fn cfg() -> LivenessConfig {
-        LivenessConfig::new(3, 3, 0).with_threads(1)
+        LivenessConfig::new(3, 3, 0)
     }
 
     #[test]
@@ -1614,9 +1599,9 @@ mod tests {
 
     #[test]
     fn symmetry_preserves_the_verdict_and_still_ships_a_witness() {
-        for (symmetric, threads) in [(false, 1), (true, 1), (false, 2), (true, 2)] {
+        for symmetric in [false, true] {
             let report = check_liveness(
-                cfg().with_symmetry(symmetric).with_threads(threads),
+                cfg().with_symmetry(symmetric),
                 || PingPong::fleet(3),
                 vec![None, None, None],
                 &FailurePattern::failure_free(3),

@@ -45,7 +45,7 @@
 //! scheduler could pick it, and liveness must quantify over every fair
 //! schedule). Both are deterministic enumerations — process id ascending,
 //! then inbox position — so every consumer sees children in the same
-//! order at any thread count.
+//! order.
 
 use crate::failure::FailurePattern;
 use crate::id::{ProcessId, Time};
@@ -364,7 +364,7 @@ pub(crate) fn dispatch<P: Protocol>(proc: &mut P, ctx: &mut Ctx<P>, step: Resolv
 }
 
 /// Everything a step needs besides the two states: shared between the
-/// parallel expansion workers and the sequential replays.
+/// explorer's expansion phase and the replays.
 pub(crate) struct StepEnv<'a> {
     pub(crate) pattern: &'a FailurePattern,
     pub(crate) n: usize,
@@ -381,8 +381,8 @@ pub(crate) struct StepEnv<'a> {
 /// oracles are pure functions of `(p, t)` (the FdOracle contract), so
 /// where the sample happens cannot change the step.
 ///
-/// `bufs` is the recycled `Ctx` send/output buffer pair — one per worker,
-/// so steady-state stepping allocates nothing.
+/// `bufs` is the recycled `Ctx` send/output buffer pair, so steady-state
+/// stepping allocates nothing.
 ///
 /// `declared` is the step's declared [`Footprint`] when DPOR is active:
 /// the executed sends and outputs are validated against it, and an

@@ -156,15 +156,15 @@ metric_ids! {
     pub enum PhaseId {
         /// The engine's step loop ([`crate::Sim::run_until`]).
         EngineRun => "engine_run",
-        /// Explorer: parallel fingerprint/pre-read of a batch.
+        /// Explorer: keying (fingerprint, canonicalization) of a batch.
         ExploreKey => "explore_key",
-        /// Explorer: sequential budget-aware revisit resolution.
+        /// Explorer: budget-aware revisit resolution.
         ExploreRevisit => "explore_revisit",
-        /// Explorer: sequential per-batch detector pre-sampling.
+        /// Explorer: per-batch detector pre-sampling.
         ExploreOracle => "explore_oracle",
-        /// Explorer: parallel safety-check + expansion of survivors.
+        /// Explorer: safety-check + expansion of survivors.
         ExploreExpand => "explore_expand",
-        /// Explorer: sequential merge of children and violations.
+        /// Explorer: violation choice, prune-count commit and recycling.
         ExploreMerge => "explore_merge",
         /// One worker chunk of an instrumented sweep.
         SweepRun => "sweep_run",

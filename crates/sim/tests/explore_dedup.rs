@@ -1,14 +1,15 @@
 //! Seeded property sweep: neither state deduplication, the dedup key
-//! representation, nor the worker count may change the explorer's verdict.
+//! representation, nor the state-space reductions may change the
+//! explorer's verdict.
 //!
 //! Three equivalence ladders over a 40-seed family of randomized
 //! protocols:
 //!
-//! 1. **Key representation is invisible** — [`FingerprintHasher`] and
-//!    [`ExactKeyHasher`] traverse the identical state graph, so their
-//!    reports must agree on *every* semantic field (strict
-//!    [`ExploreReport::same_semantics`]). This is the collision check for
-//!    the 128-bit fingerprint.
+//! 1. **Key representation is invisible** — [`FingerprintHasher`] (what
+//!    [`explore`] keys by) and [`ExactKeyHasher`] (through
+//!    [`explore_custom`]) traverse the identical state graph, so their
+//!    reports must be equal field for field. This is the collision check
+//!    for the 128-bit fingerprint.
 //! 2. **Dedup is invisible to the verdict** — fingerprint-dedup,
 //!    exact-key-dedup, and dedup-off all agree on whether a violation
 //!    exists and on the states-capped flag. (With batched traversal the
@@ -17,12 +18,10 @@
 //!    report picks the lexicographically-least violation of that batch.
 //!    At `batch == 1` — classic DFS — even the message is identical, and
 //!    a dedicated ladder asserts exactly that.)
-//! 3. **Thread count is invisible, period** — reports at 1, 2, and 4
-//!    workers are byte-identical modulo the informational `threads_used`.
-//! 4. **Reductions are invisible to the verdict** — DPOR, symmetry
+//! 3. **Reductions are invisible to the verdict** — DPOR, symmetry
 //!    canonicalization, and their combination agree with the unreduced
-//!    explorer on whether a violation exists, at every worker count, and
-//!    reduced counterexamples still replay.
+//!    explorer on whether a violation exists, and reduced counterexamples
+//!    still replay.
 //!
 //! This is also the regression net for the two historical dedup bugs
 //! (pruning shallower revisits with remaining budget; merging states that
@@ -32,8 +31,9 @@
 //! reproducible via `with_unstable_sleep`).
 
 use wfd_sim::{
-    explore, Ctx, ExploreConfig, ExploreReport, FailurePattern, FnDetector, Footprint, Hasher,
-    NoDetector, OracleSpec, ProcessId, Protocol, Replay, Repro, StepKind, Symmetry, Time,
+    explore, explore_custom, Ctx, ExactKeyHasher, ExploreConfig, ExploreReport, FailurePattern,
+    FingerprintHasher, FnDetector, Footprint, NoDetector, OracleSpec, ProcessId, Protocol, Replay,
+    Repro, StepKind, Symmetry, Time,
 };
 
 /// A seed-parameterized toy protocol: on start, broadcast a burst of
@@ -129,11 +129,6 @@ fn run_family(seed: u64, mode: Mode, cfg: ExploreConfig) -> ExploreReport {
     let pattern = family_pattern(seed);
     // A seed-dependent safety bar some families break and others respect.
     let bar = 20 + (seed % 30);
-    let cfg = match mode {
-        Mode::DedupOff => cfg.with_dedup(false),
-        Mode::ExactKey => cfg.with_hasher(Hasher::ExactKey),
-        Mode::Fingerprint => cfg.with_hasher(Hasher::Fingerprint),
-    };
     let make = move || (0..2).map(|_| Mixer::family(seed)).collect::<Vec<_>>();
     let safety = move |_procs: &[Mixer], outputs: &[(ProcessId, u64)]| match outputs
         .iter()
@@ -142,7 +137,27 @@ fn run_family(seed: u64, mode: Mode, cfg: ExploreConfig) -> ExploreReport {
         Some((p, acc)) => Err(format!("{p} accumulated {acc} > {bar}")),
         None => Ok(()),
     };
-    explore(cfg, make, vec![None, None], &pattern, NoDetector, safety)
+    let (cfg, invs) = (cfg.with_dedup(mode != Mode::DedupOff), vec![None, None]);
+    match mode {
+        Mode::ExactKey => explore_custom(
+            cfg,
+            ExactKeyHasher,
+            make,
+            invs,
+            &pattern,
+            NoDetector,
+            safety,
+        ),
+        Mode::Fingerprint | Mode::DedupOff => explore_custom(
+            cfg,
+            FingerprintHasher,
+            make,
+            invs,
+            &pattern,
+            NoDetector,
+            safety,
+        ),
+    }
 }
 
 #[test]
@@ -160,9 +175,9 @@ fn key_representation_and_dedup_never_change_the_verdict() {
 
         // Ladder 1 (strict): the fingerprint must be a drop-in for the
         // exact key — identical traversal, counts, flags, counterexample.
-        assert!(
-            fp.same_semantics(&exact),
-            "seed {seed}: fingerprint diverged from exact key\n{fp:?}\nvs\n{exact:?}"
+        assert_eq!(
+            fp, exact,
+            "seed {seed}: fingerprint diverged from exact key"
         );
 
         // Ladder 2: dedup on/off agree on the verdict and flags.
@@ -201,7 +216,7 @@ fn key_representation_and_dedup_never_change_the_verdict() {
 #[test]
 fn at_batch_one_dedup_preserves_the_exact_counterexample() {
     for seed in 0..40 {
-        let dfs = |mode| run_family(seed, mode, family_cfg(seed).with_batch(1).with_threads(1));
+        let dfs = |mode| run_family(seed, mode, family_cfg(seed).with_batch(1));
         let with_dedup = dfs(Mode::Fingerprint);
         let without = dfs(Mode::DedupOff);
         assert_eq!(
@@ -212,41 +227,11 @@ fn at_batch_one_dedup_preserves_the_exact_counterexample() {
     }
 }
 
-/// Reports at 1, 2 and 4 worker threads must be byte-identical modulo the
-/// informational `threads_used` field — across the whole seeded family,
-/// violating and clean alike.
-#[test]
-fn thread_count_never_changes_the_report() {
-    for seed in 0..40 {
-        let one = run_family(seed, Mode::Fingerprint, family_cfg(seed).with_threads(1));
-        for threads in [2, 4] {
-            let many = run_family(
-                seed,
-                Mode::Fingerprint,
-                family_cfg(seed).with_threads(threads),
-            );
-            assert_eq!(many.threads_used, threads);
-            assert!(
-                one.same_semantics(&many),
-                "seed {seed}, {threads} threads: report diverged\n{one:?}\nvs\n{many:?}"
-            );
-            let normalize = |r: &ExploreReport| {
-                let mut r = r.clone();
-                r.threads_used = 0;
-                format!("{r:?}")
-            };
-            assert_eq!(normalize(&one), normalize(&many), "seed {seed}");
-        }
-    }
-}
-
-/// Ladder 4 (reductions): DPOR, symmetry canonicalization, and their
+/// Ladder 3 (reductions): DPOR, symmetry canonicalization, and their
 /// combination must agree with the unreduced explorer on the *verdict*
 /// for every seed — safe families stay safe, violating families stay
-/// violating — and each reduced configuration must itself be
-/// byte-identical across 1, 2 and 4 worker threads. (Counts legitimately
-/// differ between reduced and unreduced runs: that is the point of the
-/// reductions.)
+/// violating. (Counts legitimately differ between reduced and unreduced
+/// runs: that is the point of the reductions.)
 #[test]
 fn reductions_never_change_the_verdict() {
     let reduce = |cfg: ExploreConfig, dpor: bool, symmetry: bool| {
@@ -266,7 +251,7 @@ fn reductions_never_change_the_verdict() {
             let one = run_family(
                 seed,
                 Mode::Fingerprint,
-                reduce(family_cfg(seed).with_threads(1), dpor, symmetry),
+                reduce(family_cfg(seed), dpor, symmetry),
             );
             assert_eq!(
                 one.violation.is_some(),
@@ -277,24 +262,6 @@ fn reductions_never_change_the_verdict() {
             assert!(one.reduction_enabled);
             dpor_pruned_somewhere |= one.states_pruned_dpor > 0;
             symmetry_hit_somewhere |= one.symmetry_canonical_hits > 0;
-            for threads in [2, 4] {
-                let many = run_family(
-                    seed,
-                    Mode::Fingerprint,
-                    reduce(family_cfg(seed).with_threads(threads), dpor, symmetry),
-                );
-                assert!(
-                    one.same_semantics(&many),
-                    "seed {seed}, dpor={dpor} symmetry={symmetry}, {threads} threads: \
-                     reduced report diverged\n{one:?}\nvs\n{many:?}"
-                );
-                let normalize = |r: &ExploreReport| {
-                    let mut r = r.clone();
-                    r.threads_used = 0;
-                    format!("{r:?}")
-                };
-                assert_eq!(normalize(&one), normalize(&many), "seed {seed}");
-            }
         }
     }
     // The sweep is only meaningful if it exercises both outcomes and both
@@ -459,7 +426,6 @@ fn naive_sleep_sets_would_miss_the_oracle_transition() {
     let run = |unstable: bool| {
         explore(
             ExploreConfig::new(2)
-                .with_threads(1)
                 .with_batch(1)
                 .with_dpor(true)
                 .with_unstable_sleep(unstable),
@@ -560,7 +526,6 @@ fn debug_alike_fd_values_must_not_certify_independence() {
     let run = |unstable: bool| {
         explore(
             ExploreConfig::new(2)
-                .with_threads(1)
                 .with_batch(1)
                 .with_dpor(true)
                 .with_unstable_sleep(unstable),

@@ -1,8 +1,8 @@
 //! The sixth 40-seed equivalence ladder: every consumer of the unified
 //! `Machine` transition system — the engine's run loop, the bounded
 //! explorer, and the liveness checker's fair graph — must produce
-//! byte-identical results across worker counts and agree with the
-//! retained pre-refactor loop (`explore_baseline`, kept verbatim as the
+//! byte-identical results on every rerun and agree with the retained
+//! pre-refactor loop (`explore_baseline`, kept verbatim as the
 //! differential anchor). A divergence anywhere means the machine-layer
 //! rebase changed semantics, not just structure.
 //!
@@ -10,19 +10,14 @@
 //! checked byte-for-byte against committed `.dot`/`.mmd` files, and
 //! structurally (balanced braces, declared node ids only) — so renderer
 //! drift cannot land silently.
-//!
-//! Thread counts are pinned through [`ExploreConfig::with_threads`] /
-//! [`LivenessConfig::with_threads`]; the explicit value takes the same
-//! path as `WFD_EXPLORE_THREADS` (see `EnvOverrides`), without the
-//! cross-test env races.
 
 use wfd_sim::explore_baseline::explore_baseline;
 use wfd_sim::liveness::fixtures::{Decider, PingPong};
 use wfd_sim::{
     check_liveness, explore, Ctx, Diagram, DiagramConfig, ExploreConfig, ExploreReport,
-    FailurePattern, FingerprintHasher, Footprint, Hasher, LivenessConfig, Ltl, NoDetector,
-    ProcessId, Protocol, RandomFair, RecordedSchedule, ReplaySchedule, Sim, SimConfig, StepKind,
-    Symmetry, Time,
+    FailurePattern, FingerprintHasher, Footprint, LivenessConfig, Ltl, NoDetector, ProcessId,
+    Protocol, RandomFair, RecordedSchedule, ReplaySchedule, Sim, SimConfig, StepKind, Symmetry,
+    Time,
 };
 
 /// The seed family: a two-process broadcast/relay protocol whose tree
@@ -97,14 +92,11 @@ fn family_pattern(seed: u64) -> FailurePattern {
     }
 }
 
-fn run_explore(seed: u64, threads: usize) -> ExploreReport {
+fn run_explore(seed: u64) -> ExploreReport {
     let pattern = family_pattern(seed);
     let bar = 20 + (seed % 30);
     explore(
-        ExploreConfig::new(4 + (seed as usize % 4))
-            .with_max_states(500_000)
-            .with_hasher(Hasher::Fingerprint)
-            .with_threads(threads),
+        ExploreConfig::new(4 + (seed as usize % 4)).with_max_states(500_000),
         move || (0..2).map(|_| Mixer::family(seed)).collect::<Vec<_>>(),
         vec![None, None],
         &pattern,
@@ -119,12 +111,12 @@ fn run_explore(seed: u64, threads: usize) -> ExploreReport {
     )
 }
 
-/// Ladder leg 1 — explorer: the Machine-backed loop at 1/2/4 workers is
-/// byte-identical modulo the informational `threads_used`, and agrees
-/// with the pre-refactor baseline loop on everything the baseline's
-/// classic DFS order defines (verdict, flags, distinct-state coverage).
+/// Ladder leg 1 — explorer: the Machine-backed loop agrees with the
+/// pre-refactor baseline loop on everything the baseline's classic DFS
+/// order defines (verdict, flags, distinct-state coverage), and every
+/// witness either loop reports replays.
 #[test]
-fn explorer_matches_baseline_and_is_thread_invariant() {
+fn explorer_matches_baseline() {
     let mut violating = 0;
     for seed in 0..40u64 {
         let pattern = family_pattern(seed);
@@ -144,7 +136,7 @@ fn explorer_matches_baseline_and_is_thread_invariant() {
                 None => Ok(()),
             },
         );
-        let one = run_explore(seed, 1);
+        let one = run_explore(seed);
         // Baseline vs Machine-backed: the traversal order differs by
         // design (classic DFS vs batched), so anything downstream of an
         // early stop is order-shaped. The verdict itself must agree; on
@@ -183,20 +175,6 @@ fn explorer_matches_baseline_and_is_thread_invariant() {
                 replayed,
                 Err(v.message.clone()),
                 "seed {seed}: a reported witness does not replay"
-            );
-        }
-        // Machine-backed across worker counts: byte-identical.
-        let normalize = |r: &ExploreReport| {
-            let mut r = r.clone();
-            r.threads_used = 0;
-            format!("{r:?}")
-        };
-        for threads in [2usize, 4] {
-            let many = run_explore(seed, threads);
-            assert_eq!(
-                normalize(&one),
-                normalize(&many),
-                "seed {seed}: {threads} workers changed the report"
             );
         }
         if one.violation.is_some() {
@@ -275,11 +253,12 @@ fn engine_runs_are_deterministic_and_replay_byte_identically() {
     }
 }
 
-/// Ladder leg 3 — liveness: the `FairMachine`-backed graph build is
-/// byte-identical across worker counts — not only the verdict but the
-/// full report (model sizes, product size, lasso witness decisions).
+/// Ladder leg 3 — liveness: the `FairMachine`-backed graph build reaches
+/// each fixture's verdict and is a deterministic function of its inputs —
+/// two checks produce byte-identical reports (model sizes, product size,
+/// lasso witness decisions).
 #[test]
-fn liveness_reports_are_byte_identical_across_threads() {
+fn liveness_reports_are_deterministic() {
     for seed in 0..40u64 {
         let n = 2 + (seed as usize % 2);
         let mut pattern = FailurePattern::failure_free(n);
@@ -287,9 +266,8 @@ fn liveness_reports_are_byte_identical_across_threads() {
             pattern = pattern.with_crash(ProcessId(seed as usize % n), 0);
         }
         let livelock = seed.is_multiple_of(2);
-        let run = |threads: usize| {
-            let cfg =
-                LivenessConfig::new(2 + (seed % 2), 2 + ((seed / 2) % 2), 0).with_threads(threads);
+        let run = || {
+            let cfg = LivenessConfig::new(2 + (seed % 2), 2 + ((seed / 2) % 2), 0);
             let report = if livelock {
                 check_liveness(
                     cfg,
@@ -311,18 +289,16 @@ fn liveness_reports_are_byte_identical_across_threads() {
             };
             format!("{:?}", report.expect("family scenarios are well-formed"))
         };
-        let one = run(1);
+        let one = run();
         assert!(
             one.contains(if livelock { "Violated" } else { "Holds" }),
-            "seed {seed}: unexpected baseline verdict\n{one}"
+            "seed {seed}: unexpected verdict\n{one}"
         );
-        for threads in [2usize, 4] {
-            assert_eq!(
-                one,
-                run(threads),
-                "seed {seed}: {threads} workers changed the liveness report"
-            );
-        }
+        assert_eq!(
+            one,
+            run(),
+            "seed {seed}: a rerun changed the liveness report"
+        );
     }
 }
 

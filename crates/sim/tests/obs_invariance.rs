@@ -1,16 +1,15 @@
 //! The observability layer's load-bearing guarantee: metrics **never**
 //! influence what the simulator or the explorer compute. Turning metrics
 //! on must leave every [`RunOutcome`], every trace, and every
-//! [`ExploreReport`] byte-identical to a metrics-off execution — at any
-//! thread count — because the obs handle only ever writes to a side table
+//! [`ExploreReport`] byte-identical to a metrics-off execution, because
+//! the obs handle only ever writes to a side table
 //! of relaxed atomics that nothing on the decision path reads back.
 //!
 //! These tests are the acceptance gate for that claim:
 //!
 //! * engine runs with `Obs::off()` vs `Obs::on()` produce identical
 //!   outcomes and identical traces (full `Debug` form),
-//! * explorations with metrics off vs on produce byte-identical reports
-//!   at 1 and 4 worker threads,
+//! * explorations with metrics off vs on produce byte-identical reports,
 //! * the Figure 3 extraction host emits the same trace with metrics off
 //!   or on, its rounds timed and their extension steps counted,
 //! * and while invisible to results, the metrics are *not* inert: the
@@ -87,11 +86,8 @@ fn run_sim(obs: Obs) -> String {
     format!("{outcome:?}\n{:?}", sim.trace())
 }
 
-fn run_explore(obs: Obs, threads: usize) -> ExploreReport {
-    let cfg = ExploreConfig::new(7)
-        .with_max_states(500_000)
-        .with_threads(threads)
-        .with_obs(obs);
+fn run_explore(obs: Obs) -> ExploreReport {
+    let cfg = ExploreConfig::new(7).with_max_states(500_000).with_obs(obs);
     explore(
         cfg,
         make_procs,
@@ -134,16 +130,10 @@ fn engine_outcome_and_trace_are_identical_with_metrics_on() {
 }
 
 #[test]
-fn explore_reports_are_byte_identical_with_metrics_on_at_any_thread_count() {
-    for threads in [1, 4] {
-        let off = run_explore(Obs::off(), threads);
-        let on = run_explore(Obs::on(), threads);
-        assert_eq!(
-            format!("{off:?}"),
-            format!("{on:?}"),
-            "{threads} threads: metrics changed the report"
-        );
-    }
+fn explore_reports_are_byte_identical_with_metrics_on() {
+    let off = run_explore(Obs::off());
+    let on = run_explore(Obs::on());
+    assert_eq!(off, on, "metrics changed the report");
 }
 
 #[test]
@@ -161,7 +151,7 @@ fn figure3_trace_is_identical_with_metrics_on() {
 #[test]
 fn metrics_actually_measure_the_traversal() {
     let obs = Obs::on();
-    let report = run_explore(obs.clone(), 1);
+    let report = run_explore(obs.clone());
     let snap = obs.snapshot().expect("metrics are on");
     assert_eq!(
         snap.counter(CounterId::ExploreStatesVisited),
@@ -181,7 +171,7 @@ fn metrics_actually_measure_the_traversal() {
 #[test]
 fn snapshot_json_round_trips_through_the_crate_parser() {
     let obs = Obs::on();
-    let _ = run_explore(obs.clone(), 2);
+    let _ = run_explore(obs.clone());
     let json = obs.snapshot().expect("metrics are on").to_json();
     let parsed = Json::parse(&json.to_string()).expect("metrics JSON must parse");
     let counters = parsed.get("counters").expect("counters block");
@@ -193,7 +183,7 @@ fn snapshot_json_round_trips_through_the_crate_parser() {
 #[test]
 fn off_handle_never_allocates_a_snapshot() {
     let obs = Obs::off();
-    let _ = run_explore(obs.clone(), 1);
+    let _ = run_explore(obs.clone());
     assert!(obs.snapshot().is_none());
     assert!(!obs.is_on());
 }

@@ -40,8 +40,8 @@ pub use wfd_sim as sim;
 /// per-crate staples from [`wfd_core::prelude`] (protocols, detectors,
 /// registers, consensus, the engine) plus the cross-crate entry points
 /// every example needs — the bounded explorer and its builder
-/// ([`explore`](wfd_sim::explore()), [`ExploreConfig`](wfd_sim::ExploreConfig),
-/// [`Hasher`](wfd_sim::Hasher)), the liveness checker
+/// ([`explore`](wfd_sim::explore()), [`ExploreConfig`](wfd_sim::ExploreConfig)),
+/// the liveness checker
 /// ([`check_liveness`](wfd_sim::check_liveness()),
 /// [`LivenessConfig`](wfd_sim::LivenessConfig), [`Ltl`](wfd_sim::Ltl)),
 /// the machine-layer replay entry point, reduction switches, and
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use wfd_core::theorems::{self, RunSetup};
     pub use wfd_registers::abd::{op_history_from_trace, AbdOp};
     pub use wfd_sim::{
-        check_liveness, explore, Diagram, DiagramConfig, EnvOverrides, ExploreConfig, Hasher,
+        check_liveness, explore, Diagram, DiagramConfig, EnvOverrides, ExploreConfig,
         LivenessConfig, LivenessReport, LivenessVerdict, Ltl, MetricsMode, NoDetector, Obs,
         ReductionConfig, Replay, TraceMode,
     };
